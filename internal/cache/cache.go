@@ -163,14 +163,21 @@ func New(cfg Config) *Cache {
 	if cfg.Ways <= 16 {
 		c.orderMask = ^uint64(0) >> (64 - 4*uint(cfg.Ways))
 		c.order = make([]uint64, sets)
-		for s := range c.order {
-			c.order[s] = initOrder & c.orderMask
-		}
+		c.resetOrder()
 	} else {
 		c.lruTick = make([]uint64, lines)
 		c.validCount = make([]uint16, sets)
 	}
 	return c
+}
+
+// Reset restores the cache to the state New(c.Config()) builds — every
+// line invalid, recency back to its initial order, tick counter and
+// statistics zeroed — reusing the existing arrays instead of allocating.
+func (c *Cache) Reset() {
+	c.Flush()
+	c.tick = 0
+	c.stats = Stats{}
 }
 
 // Config returns the cache geometry.
@@ -455,19 +462,20 @@ func (c *Cache) InvalidateMatching(match func(line uint64) bool) int {
 	return n
 }
 
-// Flush invalidates every line.
+// Flush invalidates every line in place, leaving the tick counter and
+// statistics untouched (Reset also zeroes those).
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	if c.order != nil {
-		for s := range c.order {
-			c.order[s] = initOrder & c.orderMask
-		}
-		return
-	}
-	for i := range c.validCount {
-		c.validCount[i] = 0
+	clear(c.tags)
+	clear(c.lruTick)
+	clear(c.validCount)
+	c.resetOrder()
+}
+
+// resetOrder puts every set's packed recency word (if any) back to the
+// identity order.
+func (c *Cache) resetOrder() {
+	for s := range c.order {
+		c.order[s] = initOrder & c.orderMask
 	}
 }
 

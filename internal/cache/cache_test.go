@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"itsim/internal/prng"
 )
 
 func smallCfg() Config {
@@ -231,4 +234,84 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	New(Config{SizeBytes: 100, LineBytes: 7, Ways: 2})
+}
+
+// randomOp applies one random operation drawn from r to c and returns its
+// observable outcome. Addresses span three times the capacity so sets
+// fill, evict and refill.
+func randomOp(c *Cache, r *prng.Source) [3]uint64 {
+	lines := c.Config().SizeBytes / c.Config().LineBytes
+	addr := r.Uint64n(uint64(3*lines)) * uint64(c.Config().LineBytes)
+	b := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	switch r.Intn(8) {
+	case 0:
+		return [3]uint64{b(c.Access(addr))}
+	case 1:
+		ev, ok := c.Fill(addr)
+		return [3]uint64{ev, b(ok)}
+	case 2:
+		hit, ev, ok := c.AccessFill(addr)
+		return [3]uint64{b(hit), ev, b(ok)}
+	case 3:
+		if c.Contains(addr) { // FillCold requires an observed absence
+			return [3]uint64{2}
+		}
+		ev, ok := c.FillCold(addr)
+		return [3]uint64{ev, b(ok)}
+	case 4:
+		return [3]uint64{b(c.Invalidate(addr))}
+	case 5:
+		k := r.Uint64n(16)
+		return [3]uint64{uint64(c.InvalidateMatching(func(line uint64) bool { return line%16 == k }))}
+	case 6:
+		if r.Intn(64) == 0 {
+			c.Flush()
+		}
+		return [3]uint64{b(c.Contains(addr))}
+	default:
+		return [3]uint64{uint64(c.ValidLines())}
+	}
+}
+
+// Property: Reset restores exactly the state New builds — field for field
+// right after the call, and in every hit, eviction, victim, ValidLines and
+// Stats outcome of a random operation sequence afterwards — for both
+// recency representations (packed order for ways <= 16, tick stamps above).
+func TestResetMatchesNew(t *testing.T) {
+	cfgs := []Config{
+		smallCfg(),
+		{SizeBytes: 16 << 10, LineBytes: 64, Ways: 16},
+		{SizeBytes: 8 << 10, LineBytes: 64, Ways: 32}, // tick stamps
+	}
+	for _, cfg := range cfgs {
+		f := func(seed uint64) bool {
+			r := prng.New(seed)
+			reset := New(cfg)
+			for i := 0; i < 2000; i++ {
+				randomOp(reset, r)
+			}
+			reset.Reset()
+			fresh := New(cfg)
+			if !reflect.DeepEqual(reset, fresh) {
+				t.Logf("%+v seed %d: state after Reset differs from New", cfg, seed)
+				return false
+			}
+			ra, rb := prng.New(^seed), prng.New(^seed)
+			for i := 0; i < 2000; i++ {
+				if a, b := randomOp(reset, ra), randomOp(fresh, rb); a != b {
+					t.Logf("%+v seed %d: op %d outcome %v, fresh cache %v", cfg, seed, i, a, b)
+					return false
+				}
+			}
+			return reset.ValidLines() == fresh.ValidLines() && reset.Stats() == fresh.Stats()
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+	}
 }

@@ -297,6 +297,10 @@ func (c *Config) buildRequests() []*request {
 type machineState struct {
 	id    int
 	queue []*attempt
+	// platform is the machine's last epoch platform (nil before the
+	// first); the next epoch is built from it so the simulated caches'
+	// host memory is reused rather than reallocated per epoch.
+	platform *smp.Machine
 	// running is the epoch in flight (nil when idle); epochRun its
 	// already-computed metrics, epochStart/busyUntil its fleet-time span,
 	// epochMult the chaos slowdown it runs under (1 when healthy).
@@ -482,10 +486,11 @@ func (f *fleet) startEpoch(m *machineState, now sim.Time) error {
 	f.router.Observe(m.id, counts)
 
 	name := fmt.Sprintf("m%d/e%d", m.id, m.stats.Epochs)
-	mm, err := smp.New(f.cfg.machineConfig(dataIntensive, m.id), f.cfg.policyFactory(), name, specs)
+	mm, err := m.platform.Next(f.cfg.machineConfig(dataIntensive, m.id), f.cfg.policyFactory(), name, specs)
 	if err != nil {
 		return fmt.Errorf("cluster: epoch %s: %w", name, err)
 	}
+	m.platform = mm
 	mm.Instrument(f.cfg.Tracer, f.cfg.GaugeInterval)
 	run, err := mm.Run()
 	if err != nil {

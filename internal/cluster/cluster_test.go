@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 
 	"itsim/internal/fault"
@@ -138,6 +139,38 @@ func TestFleetDeterminism(t *testing.T) {
 	} else if res.Summary.Injection == nil {
 		t.Errorf("faulty fleet run reported no injection stats")
 	}
+}
+
+// TestConcurrentRunsIndependent: fleet machines recycle their platforms
+// only within one Run, so concurrent Runs share nothing mutable and each
+// matches a sequential run byte for byte (run under -race in CI).
+func TestConcurrentRunsIndependent(t *testing.T) {
+	runJSON := func() (string, error) {
+		res, err := Run(faultyFleetConfig(7))
+		if err != nil {
+			return "", err
+		}
+		b, err := json.Marshal(res.Summary)
+		return string(b), err
+	}
+	want, err := runJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := runJSON()
+			if err != nil {
+				t.Error(err)
+			} else if got != want {
+				t.Errorf("concurrent fleet run differs from a sequential one:\n%s\n%s", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestFleetCompletesAllRequests checks conservation: every submitted

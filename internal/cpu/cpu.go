@@ -248,8 +248,16 @@ func (p *PreExecCache) Read(addr uint64, size uint8) (present, inv bool) {
 }
 
 // Flush empties the cache (between pre-execution episodes of different
-// processes the pre-execute state is not meaningful).
+// processes the pre-execute state is not meaningful). The INV map is
+// cleared in place so its buckets survive for the next episode.
 func (p *PreExecCache) Flush() {
 	p.tags.Flush()
-	p.invBits = make(map[uint64]uint64)
+	clear(p.invBits)
+}
+
+// Reset restores the state NewPreExecCache builds (no lines, zeroed
+// statistics) in place, so a recycled platform reuses the tag arrays.
+func (p *PreExecCache) Reset() {
+	p.tags.Reset()
+	clear(p.invBits)
 }

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -187,6 +188,21 @@ func TestPreExecCacheFlush(t *testing.T) {
 	p.Flush()
 	if present, _ := p.Read(0x40, 8); present {
 		t.Fatal("Flush left contents")
+	}
+}
+
+// Reset must leave exactly what NewPreExecCache builds: no lines, no INV
+// state, zeroed statistics.
+func TestPreExecCacheResetMatchesNew(t *testing.T) {
+	p := NewPreExecCache(pxcConfig())
+	for a := uint64(0); a < 2*8192; a += 24 {
+		p.Write(a, 8, a%48 == 0)
+		p.Read(a+8, 8)
+	}
+	p.Reset()
+	if !reflect.DeepEqual(p, NewPreExecCache(pxcConfig())) {
+		t.Fatalf("after Reset: %d lines, stats %+v, %d INV entries; want a new cache",
+			p.ValidLines(), p.Stats(), len(p.invBits))
 	}
 }
 

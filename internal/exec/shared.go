@@ -89,7 +89,15 @@ func (s *Shared) ReleasePendingIO(pio *PendingIO) {
 // all to the single core). When perCoreMetrics is set each core gets a
 // metrics.Core ledger; the legacy single-core machine leaves it off so its
 // summaries stay free of a per-core section.
-func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []ProcessSpec, perCoreMetrics bool) (*Shared, error) {
+//
+// prev, when non-nil, is the previous platform of the same simulated
+// machine (the fleet runs one per epoch). Its LLC, L1s and pre-execute
+// caches are reset in place and reused wherever the geometry matches, so
+// only host memory carries over: the new platform starts exactly as cold
+// as a freshly allocated one. prev must not be used afterwards. Everything
+// else — kernel, DRAM, page tables, processes, engines, auditors — is
+// built fresh. nil allocates every cache.
+func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string, specs []ProcessSpec, perCoreMetrics bool) (*Shared, error) {
 	if len(pols) == 0 {
 		return nil, errors.New("exec: no policy instances")
 	}
@@ -156,10 +164,15 @@ func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []Proce
 	if cfg.Fault.Enabled() {
 		dev.SetInjector(fault.New(cfg.Fault))
 	}
+	var prevLLC *cache.Cache
+	var prevCores []*Core
+	if prev != nil {
+		prevLLC, prevCores = prev.LLC, prev.Cores
+	}
 	s := &Shared{
 		Cfg:       cfg,
 		Krn:       kernel.New(mem.NewDRAM(frames, cfg.Replacement), dev),
-		LLC:       cache.New(cache.Config{SizeBytes: llcSize, LineBytes: cfg.LineBytes, Ways: llcWays}),
+		LLC:       recycle(prevLLC, cache.Config{SizeBytes: llcSize, LineBytes: cfg.LineBytes, Ways: llcWays}),
 		Run:       metrics.NewRun(pols[0].Name(), batchName),
 		Inflight:  make(map[InflightKey]sim.Time),
 		instShift: instShift,
@@ -181,12 +194,20 @@ func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []Proce
 	}
 
 	for i := 0; i < n; i++ {
+		var prevL1 *cache.Cache
+		var prevPXC *cpu.PreExecCache
+		if i < len(prevCores) {
+			prevL1 = prevCores[i].L1
+			if px := prevCores[i].PX; px != nil {
+				prevPXC = px.PXC
+			}
+		}
 		c := &Core{
 			S:         s,
 			ID:        i,
 			Eng:       &sim.Engine{},
 			Sch:       sched.New(),
-			L1:        cache.New(cache.Config{SizeBytes: cfg.L1Size, LineBytes: cfg.LineBytes, Ways: cfg.L1Ways}),
+			L1:        recycle(prevL1, cache.Config{SizeBytes: cfg.L1Size, LineBytes: cfg.LineBytes, Ways: cfg.L1Ways}),
 			Pol:       pols[i],
 			Aud:       obs.NewAuditor(),
 			lastPXPid: -1,
@@ -195,7 +216,7 @@ func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []Proce
 			c.Met = s.Run.AddCore(i)
 		}
 		if pxSize > 0 {
-			c.PX = preexec.New(cpu.NewPreExecCache(cache.Config{
+			c.PX = preexec.New(recyclePX(prevPXC, cache.Config{
 				SizeBytes: pxSize, LineBytes: cfg.LineBytes, Ways: pxWays,
 			}))
 		}
@@ -239,6 +260,25 @@ func NewShared(cfg Config, pols []policy.Policy, batchName string, specs []Proce
 	s.warmStart(cfg.WarmFraction, frames)
 	s.RefreshWant()
 	return s, nil
+}
+
+// recycle returns c reset to its cold state when its geometry is cfg, and
+// a newly allocated cache otherwise (c == nil included).
+func recycle(c *cache.Cache, cfg cache.Config) *cache.Cache {
+	if c != nil && c.Config() == cfg {
+		c.Reset()
+		return c
+	}
+	return cache.New(cfg)
+}
+
+// recyclePX is recycle for a pre-execute cache.
+func recyclePX(p *cpu.PreExecCache, cfg cache.Config) *cpu.PreExecCache {
+	if p != nil && p.Config() == cfg {
+		p.Reset()
+		return p
+	}
+	return cpu.NewPreExecCache(cfg)
 }
 
 // warmSetter is implemented by workloads that can enumerate their working

@@ -70,7 +70,7 @@ func New(cfg Config, pol policy.Policy, batchName string, specs []ProcessSpec) *
 	if len(specs) == 0 {
 		panic("machine: no processes")
 	}
-	s, err := exec.NewShared(cfg, []policy.Policy{pol}, batchName, specs, false)
+	s, err := exec.NewShared(nil, cfg, []policy.Policy{pol}, batchName, specs, false)
 	if err != nil {
 		// Unreachable on the paper's geometries: the pre-execute
 		// way-partition clamping keeps 1 ≤ pxWays < LLCWays at one core.

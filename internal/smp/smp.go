@@ -63,6 +63,20 @@ type Machine struct {
 // core runs its own. Configuration problems come back as errors, not
 // panics: this is the path user input (the -cores flag) reaches.
 func New(cfg machine.Config, newPolicy func() policy.Policy, batchName string, specs []machine.ProcessSpec) (*Machine, error) {
+	return (*Machine)(nil).Next(cfg, newPolicy, batchName, specs)
+}
+
+// Next builds the machine for the next run on the same simulated platform,
+// taking the same arguments as New. The new machine starts with cold, empty
+// caches exactly as New's does and simulates byte-identically; it only
+// reuses m's cache arrays (reset in place) where the geometry matches, so
+// a fleet machine running one batch per epoch does not reallocate them
+// every epoch. m must not be used afterwards. A nil m behaves as New.
+func (m *Machine) Next(cfg machine.Config, newPolicy func() policy.Policy, batchName string, specs []machine.ProcessSpec) (*Machine, error) {
+	var prev *exec.Shared
+	if m != nil {
+		prev = m.s
+	}
 	if newPolicy == nil {
 		return nil, errors.New("smp: nil policy factory")
 	}
@@ -81,7 +95,7 @@ func New(cfg machine.Config, newPolicy func() policy.Policy, batchName string, s
 			return nil, errors.New("smp: policy factory returned nil")
 		}
 	}
-	s, err := exec.NewShared(cfg, pols, batchName, specs, true)
+	s, err := exec.NewShared(prev, cfg, pols, batchName, specs, true)
 	if err != nil {
 		return nil, err
 	}

@@ -22,6 +22,11 @@ const (
 // MiB is 2^20 bytes.
 const MiB = 1 << 20
 
+// profiles is the base-profile table, built once: ProfileFor runs once per
+// fleet request. It is read-only; Profile holds only plain values, so
+// lookups hand out independent copies.
+var profiles = baseProfiles()
+
 // baseProfiles returns the nine benchmark profiles at scale 1.0. Footprints
 // and record counts shrink/grow with scale so tests can run the same shapes
 // cheaply. Each profile's comment states the access-pattern class it
@@ -137,7 +142,7 @@ func ProfileFor(name string, scale float64) (Profile, error) {
 	if scale <= 0 {
 		return Profile{}, fmt.Errorf("workload: non-positive scale %v", scale)
 	}
-	p, ok := baseProfiles()[name]
+	p, ok := profiles[name]
 	if !ok {
 		return Profile{}, fmt.Errorf("workload: unknown benchmark %q", name)
 	}

@@ -28,6 +28,23 @@ func TestUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// ProfileFor reads a table built once; each call must still return an
+// independent copy, so a caller editing its profile cannot leak into the
+// next lookup.
+func TestProfileForReturnsCopies(t *testing.T) {
+	for _, name := range Names() {
+		want, err := ProfileFor(name, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _ := ProfileFor(name, 0.5)
+		p.Name, p.Seed, p.Records, p.FootprintBytes, p.PSeq = "mutated", ^p.Seed, 1, 1, 0.99
+		if got, _ := ProfileFor(name, 0.5); got != want {
+			t.Fatalf("%s: lookup after mutation = %+v, want %+v", name, got, want)
+		}
+	}
+}
+
 func TestDeterministicStreams(t *testing.T) {
 	a := MustGenerator(RandomWalk, 0.02)
 	b := MustGenerator(RandomWalk, 0.02)
