@@ -189,7 +189,9 @@ func BenchmarkAblationPrefetchDegree(b *testing.B) {
 }
 
 // BenchmarkAblationSelfSacrificing compares full ITS against ITS without
-// the self-sacrificing thread (§3.3) on the most contended batch.
+// the self-sacrificing thread (§3.3) on the most contended batch, and
+// against ITS reduced to its prefetcher alone (neither self-sacrificing nor
+// pre-execution).
 func BenchmarkAblationSelfSacrificing(b *testing.B) {
 	batch, err := itsim.BatchByName("3_Data_Intensive")
 	if err != nil {
@@ -201,6 +203,7 @@ func BenchmarkAblationSelfSacrificing(b *testing.B) {
 	}{
 		{"full", itsim.ITSConfig{}},
 		{"noSelfSacrificing", itsim.ITSConfig{DisableSelfSacrificing: true}},
+		{"prefetchOnly", itsim.ITSConfig{DisableSelfSacrificing: true, DisablePreExecute: true}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			var run *itsim.Run

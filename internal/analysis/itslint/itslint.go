@@ -4,10 +4,11 @@
 // accounting the `itslint run` multichecker aggregates into its summary.
 //
 // Every result this repository reports rests on bit-exact determinism: the
-// same seed must produce byte-identical summaries across repeats, across
-// machine-vs-1-core-SMP, and under any fault schedule. The analyzers in
-// internal/analysis/... machine-check the coding discipline that property
-// depends on; this package keeps their shared conventions in one place.
+// same seed must produce byte-identical summaries across repeats, against
+// the committed single-core golden file, and under any fault schedule. The
+// analyzers in internal/analysis/... machine-check the coding discipline
+// that property depends on; this package keeps their shared conventions in
+// one place.
 package itslint
 
 import (

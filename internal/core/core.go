@@ -8,7 +8,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"itsim/internal/chaos"
@@ -28,9 +27,10 @@ type Options struct {
 	// full-size experiment; tests use much smaller values).
 	Scale float64
 	// Cores selects the simulated core count (the -cores flag). 0 defers
-	// to Machine (or the single-core default); values above 1 run on the
-	// multi-core SMP model with per-core schedulers and work stealing.
-	// Invalid counts surface as errors from the run functions.
+	// to Machine (or the single-core default). Every count runs on the
+	// smp model; above 1 it adds per-core schedulers and work stealing.
+	// Invalid counts, like every configuration Validate rejects, surface
+	// as errors from the run functions.
 	Cores int
 	// Machine overrides the platform configuration; nil selects
 	// machine.DefaultConfig().
@@ -149,25 +149,14 @@ func policyFactory(kind policy.Kind, its policy.ITSConfig) func() policy.Policy 
 	}
 }
 
-// runMachine builds the right machine model for cfg (the single-core
-// machine, or the SMP model when more than one core is configured), runs the
-// specs on it and returns the metrics. Both models run the shared executor
-// in internal/exec; they differ only in coordination (plain run loop vs
-// bounded-skew coordinator with work stealing), so the 1-core outputs are
-// byte-identical on either path.
+// runMachine runs the specs on the platform cfg describes and returns the
+// metrics. Every core count runs on the smp model; at one core it is the
+// paper's single-core machine.
 func runMachine(cfg machine.Config, newPolicy func() policy.Policy, name string, specs []machine.ProcessSpec, opts Options) (*metrics.Run, error) {
-	if newPolicy == nil {
-		return nil, errors.New("core: nil policy factory")
+	m, err := smp.New(cfg, newPolicy, name, specs)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Cores != 0 && cfg.Cores != 1 {
-		m, err := smp.New(cfg, newPolicy, name, specs)
-		if err != nil {
-			return nil, err
-		}
-		m.Instrument(opts.Tracer, opts.GaugeInterval)
-		return m.Run()
-	}
-	m := machine.New(cfg, newPolicy(), name, specs)
 	m.Instrument(opts.Tracer, opts.GaugeInterval)
 	return m.Run()
 }
@@ -185,12 +174,20 @@ func RunBatchWithPolicyFactory(b workload.Batch, newPolicy func() policy.Policy,
 	run, err := runMachine(opts.machineConfig(b), newPolicy, b.Name, specsFor(b, opts.scale()), opts)
 	if err != nil {
 		name := "?"
-		if p := newPolicy(); p != nil {
-			name = p.Name()
+		if newPolicy != nil {
+			if p := newPolicy(); p != nil {
+				name = p.Name()
+			}
 		}
 		return run, fmt.Errorf("core: batch %s under %s: %w", b.Name, name, err)
 	}
 	return run, nil
+}
+
+// singleInstance is the policy factory of a one-core run: it hands out the
+// caller's instance.
+func singleInstance(pol policy.Policy) func() policy.Policy {
+	return func() policy.Policy { return pol }
 }
 
 // RunBatchWithPolicy executes one batch under a custom policy instance
@@ -198,13 +195,12 @@ func RunBatchWithPolicyFactory(b workload.Batch, newPolicy func() policy.Policy,
 // stateful instance cannot be shared across cores, multi-core options
 // return an error — use RunBatchWithPolicyFactory there.
 func RunBatchWithPolicy(b workload.Batch, pol policy.Policy, opts Options) (*metrics.Run, error) {
-	if cfg := opts.machineConfig(b); cfg.Cores != 0 && cfg.Cores != 1 {
+	cfg := opts.machineConfig(b)
+	if cfg.Cores != 0 && cfg.Cores != 1 {
 		return nil, fmt.Errorf("core: batch %s under %s: single policy instance cannot run on %d cores; use RunBatchWithPolicyFactory",
 			b.Name, pol.Name(), cfg.Cores)
 	}
-	m := machine.New(opts.machineConfig(b), pol, b.Name, specsFor(b, opts.scale()))
-	m.Instrument(opts.Tracer, opts.GaugeInterval)
-	run, err := m.Run()
+	run, err := runMachine(cfg, singleInstance(pol), b.Name, specsFor(b, opts.scale()), opts)
 	if err != nil {
 		return run, fmt.Errorf("core: batch %s under %s: %w", b.Name, pol.Name(), err)
 	}
@@ -222,9 +218,7 @@ func RunSpecs(name string, specs []machine.ProcessSpec, pol policy.Policy, dataI
 		return nil, fmt.Errorf("core: custom run %s under %s: single policy instance cannot run on %d cores; use RunBatchWithPolicyFactory",
 			name, pol.Name(), cfg.Cores)
 	}
-	m := machine.New(cfg, pol, name, specs)
-	m.Instrument(opts.Tracer, opts.GaugeInterval)
-	run, err := m.Run()
+	run, err := runMachine(cfg, singleInstance(pol), name, specs, opts)
 	if err != nil {
 		return run, fmt.Errorf("core: custom run %s under %s: %w", name, pol.Name(), err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"itsim/internal/machine"
@@ -90,6 +92,90 @@ func TestRunBatchWithPolicyCustom(t *testing.T) {
 	}
 	if run.Policy != "ITS" {
 		t.Fatalf("policy label %q", run.Policy)
+	}
+}
+
+// TestInvalidConfigErrorsAtEveryCoreCount: a configuration Validate
+// rejects, or a run with no processes, must come back as the same error at
+// every core count — at 0 and 1 through each run function, and at 2 through
+// RunBatch (the single-instance functions reject 2 cores up front) — never
+// as a panic or a silent run.
+func TestInvalidConfigErrorsAtEveryCoreCount(t *testing.T) {
+	cases := []struct {
+		name  string
+		mut   func(*machine.Config)
+		empty bool
+		want  string
+	}{
+		{"LLCWays=3", func(cfg *machine.Config) { cfg.LLCWays = 3 }, false, "LLC ways 3 is not a power of two"},
+		{"L1Ways=0", func(cfg *machine.Config) { cfg.L1Ways = 0 }, false, "L1 ways 0 is not a power of two"},
+		{"LineBytes=0", func(cfg *machine.Config) { cfg.LineBytes = 0 }, false, "LLC geometry"},
+		{"SpinBudget<0", func(cfg *machine.Config) { cfg.SpinBudget = -sim.Microsecond }, false, "spin budget must be >= 0"},
+		{"empty specs", func(*machine.Config) {}, true, "no processes"},
+	}
+	// call fails the subtest on a panic, so one bad path cannot hide the
+	// rest.
+	call := func(t *testing.T, f func() (*metrics.Run, error)) error {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("panicked: %v", r)
+			}
+		}()
+		_, err := f()
+		return err
+	}
+	for _, tc := range cases {
+		for _, cores := range []int{0, 1, 2} {
+			opts := tinyOpts()
+			cfg := *opts.Machine
+			tc.mut(&cfg)
+			cfg.Cores = cores
+			opts.Machine, opts.Cores = &cfg, cores
+			b := workload.Batches()[0]
+			var specs []machine.ProcessSpec
+			if tc.empty {
+				b = workload.Batch{Name: "empty"}
+			} else {
+				specs = specsFor(b, opts.Scale)
+			}
+			type runFunc struct {
+				name string
+				run  func() (*metrics.Run, error)
+			}
+			runs := []runFunc{
+				{"RunBatch", func() (*metrics.Run, error) { return RunBatch(b, policy.Sync, opts) }},
+			}
+			if cores < 2 {
+				runs = append(runs,
+					runFunc{"RunBatchWithPolicy", func() (*metrics.Run, error) {
+						return RunBatchWithPolicy(b, policy.New(policy.Sync), opts)
+					}},
+					runFunc{"RunSpecs", func() (*metrics.Run, error) {
+						return RunSpecs("custom", specs, policy.New(policy.Sync), 0, opts)
+					}})
+			}
+			for _, fn := range runs {
+				t.Run(fmt.Sprintf("%s/cores=%d/%s", tc.name, cores, fn.name), func(t *testing.T) {
+					err := call(t, fn.run)
+					if err == nil {
+						t.Fatalf("want an error containing %q, got nil", tc.want)
+					}
+					if !strings.Contains(err.Error(), tc.want) {
+						t.Errorf("error %q does not contain %q", err, tc.want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestNilPolicyFactoryErrors: a nil factory is reported, not dereferenced
+// while naming the failed run.
+func TestNilPolicyFactoryErrors(t *testing.T) {
+	_, err := RunBatchWithPolicyFactory(workload.Batches()[0], nil, tinyOpts())
+	if err == nil || !strings.Contains(err.Error(), "nil policy factory") {
+		t.Fatalf("want a nil policy factory error, got %v", err)
 	}
 }
 

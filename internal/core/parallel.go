@@ -10,7 +10,7 @@ import (
 //
 // A simulated run is a pure function of its batch, policy and configuration
 // — workload.Batch.Generators builds fresh generators per call and the
-// machine models share no mutable globals — so independent runs of a grid
+// machine model shares no mutable globals — so independent runs of a grid
 // can execute on separate OS threads. The job indexing keeps results (and
 // the first reported error) in a deterministic order, making parallel
 // output byte-identical to serial output.

@@ -1,17 +1,15 @@
-// Package exec is the shared core-execution engine: the per-record executor
-// that both the single-core machine (internal/machine) and the multi-core
-// SMP model (internal/smp) instantiate. One implementation of dispatch,
-// record peek/pop/advance, cache access with inclusive LLC fill, swap-in
-// management, prefetching, the major-fault flow of the paper's Figure 1, and
-// fault-aware pre-execution — parameterized over core-local state (engine/
-// clock, L1, TLB, runqueue, policy instance, pre-execute carve-out, metrics
-// sink) with the shared LLC/kernel/swap/ULL state behind it.
+// Package exec is the core-execution engine: the per-record executor the
+// machine model (internal/smp) instantiates once per core. One
+// implementation of dispatch, record peek/pop/advance, cache access with
+// inclusive LLC fill, swap-in management, prefetching, the major-fault flow
+// of the paper's Figure 1, and fault-aware pre-execution — parameterized
+// over core-local state (engine/clock, L1, TLB, runqueue, policy instance,
+// pre-execute carve-out, metrics sink) with the shared LLC/kernel/swap/ULL
+// state behind it.
 //
 // A Core is one simulated CPU; a Shared is everything the cores contend on.
-// The single-core machine is a Shared with one Core driven by a plain run
-// loop; the SMP model is a Shared with N Cores driven by a bounded-skew
-// coordinator. Both produce byte-identical output for the same inputs at
-// N=1 because they run the same code.
+// The machine is a Shared with N Cores driven by smp's bounded-skew
+// coordinator; the paper's single-core machine is N=1.
 package exec
 
 import (
@@ -50,10 +48,9 @@ const InterruptCost = 300 * sim.Nanosecond
 // through machine.Config.)
 type Config struct {
 	// Cores is the number of simulated CPU cores. 1 (or 0, for configs
-	// built before the field existed) selects the single-core machine;
-	// larger values select the internal/smp model, which shares the LLC,
-	// kernel and storage path across cores. Validate rejects
-	// non-positive values on paths that take user input.
+	// built before the field existed) is the single-core machine; larger
+	// values share the LLC, kernel and storage path across cores.
+	// smp.New reads 0 as 1 and rejects negative values via Validate.
 	Cores int
 	// LLCSize/LLCWays/LineBytes shape the last-level cache. When the
 	// policy needs a pre-execute cache, half of LLCSize goes to it.
@@ -207,9 +204,9 @@ func (c Config) PreExecPartition(cores int) (pxWaysPerCore, llcWays int, err err
 }
 
 // Validate checks the platform configuration, returning errors instead of
-// the panics (or silent nonsense) the low-level constructors produce: paths
-// that accept user input — the CLIs' -cores flag, core.Options — validate
-// before building a machine.
+// the panics (or silent nonsense) the low-level constructors produce.
+// smp.New validates before building a machine, so every run — whatever its
+// core count or entry point — is checked.
 func (c Config) Validate() error {
 	if c.Cores <= 0 {
 		return fmt.Errorf("machine: core count must be positive, got %d", c.Cores)

@@ -63,7 +63,7 @@ func TestNewSharedValidation(t *testing.T) {
 		{"no processes", []policy.Policy{policy.New(policy.Sync)}, nil, "no processes"},
 	}
 	for _, tc := range cases {
-		_, err := NewShared(nil, cfg, tc.pols, "t", tc.specs, false)
+		_, err := NewShared(nil, cfg, tc.pols, "t", tc.specs)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}

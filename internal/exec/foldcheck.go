@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"fmt"
-
-	"itsim/internal/sim"
-)
+import "fmt"
 
 // CheckFolded cross-checks the auditor's per-category folded totals (the
 // attribution intervals a trace replay recovers: dispatch spans, context
@@ -14,26 +10,9 @@ import (
 // arithmetic only.
 func (c *Core) CheckFolded() error {
 	cpu, sw, idle := c.Aud.Folded()
-	if c.Met != nil {
-		if cpu != c.Met.CPUTime || sw != c.Met.ContextSwitchTime || idle != c.Met.SchedulerIdle {
-			return fmt.Errorf("exec: core %d folded intervals (cpu %v, switch %v, idle %v) != ledger (cpu %v, switch %v, idle %v)",
-				c.ID, cpu, sw, idle, c.Met.CPUTime, c.Met.ContextSwitchTime, c.Met.SchedulerIdle)
-		}
-		return nil
-	}
-	// Legacy single-core ledger: per-process CPU time plus run-level idle.
-	// The run-level switch counter excludes the pollution tail the events
-	// include, so the switch category is covered only via the grand total
-	// (which the auditor's conservation check pins to the makespan).
-	var procCPU sim.Time
-	for _, p := range c.S.Procs {
-		procCPU += p.Met.CPUTime
-	}
-	if cpu != procCPU {
-		return fmt.Errorf("exec: folded CPU occupancy %v != per-process CPU time %v", cpu, procCPU)
-	}
-	if idle != c.S.Run.SchedulerIdle {
-		return fmt.Errorf("exec: folded scheduler idle %v != run ledger %v", idle, c.S.Run.SchedulerIdle)
+	if cpu != c.Met.CPUTime || sw != c.Met.ContextSwitchTime || idle != c.Met.SchedulerIdle {
+		return fmt.Errorf("exec: core %d folded intervals (cpu %v, switch %v, idle %v) != ledger (cpu %v, switch %v, idle %v)",
+			c.ID, cpu, sw, idle, c.Met.CPUTime, c.Met.ContextSwitchTime, c.Met.SchedulerIdle)
 	}
 	return nil
 }

@@ -23,8 +23,8 @@ import (
 // Shared is the state every core of one simulated platform contends on: the
 // kernel (page tables, swap path, DRAM), the inclusive LLC, the ULL device
 // behind its PCIe link (owned by the kernel), the process table and the
-// run-level metrics. One Shared plus one Core is the single-core machine;
-// one Shared plus N Cores is the SMP model.
+// run-level metrics. One Shared plus N Cores is the simulated platform; the
+// paper's single-core machine is the N=1 case.
 type Shared struct {
 	// Cfg is the platform configuration after defaulting.
 	Cfg Config
@@ -86,9 +86,9 @@ func (s *Shared) ReleasePendingIO(pio *PendingIO) {
 // NewShared builds the shared platform and one Core per policy instance
 // (len(pols) = core count; policies are stateful, so each core needs its
 // own). Processes are assigned to cores round-robin (pid % N — with N=1,
-// all to the single core). When perCoreMetrics is set each core gets a
-// metrics.Core ledger; the legacy single-core machine leaves it off so its
-// summaries stay free of a per-core section.
+// all to the single core). Every core keeps a metrics.Core ledger, but only
+// a multi-core platform registers the ledgers in Run.Cores: a one-core
+// summary keeps the single-core layout, with no per-core section.
 //
 // prev, when non-nil, is the previous platform of the same simulated
 // machine (the fleet runs one per epoch). Its LLC, L1s and pre-execute
@@ -97,7 +97,7 @@ func (s *Shared) ReleasePendingIO(pio *PendingIO) {
 // as a freshly allocated one. prev must not be used afterwards. Everything
 // else — kernel, DRAM, page tables, processes, engines, auditors — is
 // built fresh. nil allocates every cache.
-func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string, specs []ProcessSpec, perCoreMetrics bool) (*Shared, error) {
+func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string, specs []ProcessSpec) (*Shared, error) {
 	if len(pols) == 0 {
 		return nil, errors.New("exec: no policy instances")
 	}
@@ -210,10 +210,11 @@ func NewShared(prev *Shared, cfg Config, pols []policy.Policy, batchName string,
 			L1:        recycle(prevL1, cache.Config{SizeBytes: cfg.L1Size, LineBytes: cfg.LineBytes, Ways: cfg.L1Ways}),
 			Pol:       pols[i],
 			Aud:       obs.NewAuditor(),
+			Met:       &metrics.Core{ID: i},
 			lastPXPid: -1,
 		}
-		if perCoreMetrics {
-			c.Met = s.Run.AddCore(i)
+		if n > 1 {
+			s.Run.Cores = append(s.Run.Cores, c.Met)
 		}
 		if pxSize > 0 {
 			c.PX = preexec.New(recyclePX(prevPXC, cache.Config{
@@ -346,7 +347,7 @@ func (s *Shared) RefreshWant() {
 // CollectInjection copies the fault injector's end-of-run counters (plus
 // the kernel's retry count) into the run record. With no injector
 // attached it leaves Run.Injection nil, so fault-free summaries keep the
-// historical byte layout. Both run loops call it after the last event.
+// historical byte layout. The run loop calls it after the last event.
 func (s *Shared) CollectInjection() {
 	inj := s.Krn.Device().Injector()
 	if inj == nil {
@@ -373,8 +374,8 @@ func (s *Shared) Alive() int {
 // llcFill installs a line in the shared LLC; the inclusive hierarchy
 // back-invalidates the displaced victim from every core's L1 (a line
 // evicted from the LLC cannot stay live in an inner cache). This is the
-// single implementation of the inclusivity invariant for both the
-// single-core machine (one L1) and the SMP model.
+// single implementation of the inclusivity invariant, whatever the core
+// count.
 func (s *Shared) llcFill(key uint64) {
 	if victim, ok := s.LLC.Fill(key); ok {
 		addr := s.LLC.AddrOf(victim)

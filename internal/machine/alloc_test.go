@@ -26,7 +26,7 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 				specs[j] = ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
 				records += g.Len()
 			}
-			m := New(testConfig(), policy.New(kind), batch.Name, specs)
+			m := newMachine(t, testConfig(), policy.New(kind), batch.Name, specs)
 
 			var before, after runtime.MemStats
 			runtime.GC()

@@ -25,7 +25,7 @@ func BenchmarkMachineRun(b *testing.B) {
 					specs[j] = ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
 					records += g.Len()
 				}
-				m := New(testConfig(), policy.New(kind), batch.Name, specs)
+				m := newMachine(b, testConfig(), policy.New(kind), batch.Name, specs)
 				if _, err := m.Run(); err != nil {
 					b.Fatal(err)
 				}
@@ -44,7 +44,7 @@ func benchTracedRun(b *testing.B, trc *obs.Tracer) {
 	for j, g := range gens {
 		specs[j] = ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
 	}
-	m := New(testConfig(), policy.New(policy.ITS), batch.Name, specs)
+	m := newMachine(b, testConfig(), policy.New(policy.ITS), batch.Name, specs)
 	m.Instrument(trc, 0)
 	if _, err := m.Run(); err != nil {
 		b.Fatal(err)

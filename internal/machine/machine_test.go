@@ -9,6 +9,7 @@ import (
 	"itsim/internal/metrics"
 	"itsim/internal/policy"
 	"itsim/internal/sim"
+	"itsim/internal/smp"
 	"itsim/internal/trace"
 	"itsim/internal/workload"
 )
@@ -22,6 +23,17 @@ func testConfig() Config {
 	cfg.MaxSlice = 200 * sim.Microsecond
 	cfg.MaxSimTime = 10 * sim.Second
 	return cfg
+}
+
+// newMachine builds the single-core machine for the specs: a one-core smp
+// machine whose only core runs pol.
+func newMachine(tb testing.TB, cfg Config, pol policy.Policy, batchName string, specs []ProcessSpec) *smp.Machine {
+	tb.Helper()
+	m, err := smp.New(cfg, func() policy.Policy { return pol }, batchName, specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }
 
 // seqGen builds a purely sequential trace: n accesses at the given stride.
@@ -50,7 +62,7 @@ func specFor(gens ...trace.Generator) []ProcessSpec {
 
 func TestSingleProcessCompletes(t *testing.T) {
 	for _, kind := range policy.Kinds() {
-		m := New(testConfig(), policy.New(kind), "t", specFor(seqGen("a", 5000, 64)))
+		m := newMachine(t, testConfig(), policy.New(kind), "t", specFor(seqGen("a", 5000, 64)))
 		run, err := m.Run()
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -69,7 +81,7 @@ func TestSingleProcessCompletes(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() *metrics_run {
-		m := New(testConfig(), policy.New(policy.ITS), "t",
+		m := newMachine(t, testConfig(), policy.New(policy.ITS), "t",
 			specFor(seqGen("a", 3000, 64), seqGen("b", 3000, 128)))
 		run, err := m.Run()
 		if err != nil {
@@ -98,7 +110,7 @@ func TestWorkloadBatchUnderEveryPolicy(t *testing.T) {
 		for i, g := range gens {
 			specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
 		}
-		m := New(testConfig(), policy.New(kind), b.Name, specs)
+		m := newMachine(t, testConfig(), policy.New(kind), b.Name, specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
@@ -117,7 +129,7 @@ func TestWorkloadBatchUnderEveryPolicy(t *testing.T) {
 func TestAsyncBlocksAndSwitches(t *testing.T) {
 	gens := workload.Batches()[0].Generators(0.01)
 	specs := specFor(gens[0], gens[1])
-	m := New(testConfig(), policy.New(policy.Async), "t", specs)
+	m := newMachine(t, testConfig(), policy.New(policy.Async), "t", specs)
 	run, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +155,7 @@ func TestAsyncBlocksAndSwitches(t *testing.T) {
 
 func TestSyncBusyWaits(t *testing.T) {
 	gens := workload.Batches()[0].Generators(0.01)
-	m := New(testConfig(), policy.New(policy.Sync), "t", specFor(gens[0], gens[1]))
+	m := newMachine(t, testConfig(), policy.New(policy.Sync), "t", specFor(gens[0], gens[1]))
 	run, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +181,7 @@ func TestITSPrefetchesAndSteals(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		specs[i] = ProcessSpec{Name: gens[i].Name(), Gen: gens[i], Priority: i + 1, BaseVA: workload.BaseVA}
 	}
-	m := New(testConfig(), policy.New(policy.ITS), "t", specs)
+	m := newMachine(t, testConfig(), policy.New(policy.ITS), "t", specs)
 	run, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +216,7 @@ func TestITSBeatsSyncOnIdle(t *testing.T) {
 		for i, g := range gens {
 			specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
 		}
-		m := New(testConfig(), policy.New(kind), b.Name, specs)
+		m := newMachine(t, testConfig(), policy.New(kind), b.Name, specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +240,7 @@ func TestRunaheadCutsCacheMisses(t *testing.T) {
 		}
 		cfg := testConfig()
 		cfg.LLCSize = 1 << 20
-		m := New(cfg, policy.New(kind), b.Name, specs)
+		m := newMachine(t, cfg, policy.New(kind), b.Name, specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -252,7 +264,7 @@ func TestWarmStartReducesColdFaults(t *testing.T) {
 		}
 		cfg := testConfig()
 		cfg.WarmFraction = warm
-		m := New(cfg, policy.New(policy.Sync), b.Name, specs)
+		m := newMachine(t, cfg, policy.New(policy.Sync), b.Name, specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -269,19 +281,10 @@ func TestWarmStartReducesColdFaults(t *testing.T) {
 func TestMaxSimTimeAborts(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxSimTime = 10 * sim.Microsecond
-	m := New(cfg, policy.New(policy.Sync), "t", specFor(seqGen("a", 500000, 64)))
+	m := newMachine(t, cfg, policy.New(policy.Sync), "t", specFor(seqGen("a", 500000, 64)))
 	if _, err := m.Run(); err == nil {
 		t.Fatal("MaxSimTime exceeded without error")
 	}
-}
-
-func TestNoProcessesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty spec list accepted")
-		}
-	}()
-	New(testConfig(), policy.New(policy.Sync), "t", nil)
 }
 
 func TestTaggedAddressesIsolateProcesses(t *testing.T) {
@@ -299,7 +302,7 @@ func TestContextSwitchCostCharged(t *testing.T) {
 	cfg := testConfig()
 	cfg.MinSlice = 20 * sim.Microsecond
 	cfg.MaxSlice = 20 * sim.Microsecond
-	m := New(cfg, policy.New(policy.Sync), "t",
+	m := newMachine(t, cfg, policy.New(policy.Sync), "t",
 		specFor(seqGen("a", 2000, 8), seqGen("b", 2000, 8)))
 	run, err := m.Run()
 	if err != nil {
@@ -315,7 +318,7 @@ func TestContextSwitchCostCharged(t *testing.T) {
 }
 
 func TestFinishTimesOrderedByCompletion(t *testing.T) {
-	m := New(testConfig(), policy.New(policy.Sync), "t",
+	m := newMachine(t, testConfig(), policy.New(policy.Sync), "t",
 		specFor(seqGen("short", 1000, 64), seqGen("long", 20000, 64)))
 	run, err := m.Run()
 	if err != nil {
@@ -338,7 +341,7 @@ func TestRecoveryInterruptVsPolling(t *testing.T) {
 		specs := []ProcessSpec{
 			{Name: gens[0].Name(), Gen: gens[0], Priority: 1, BaseVA: workload.BaseVA},
 		}
-		m := New(cfg, policy.New(policy.SyncRunahead), "t", specs)
+		m := newMachine(t, cfg, policy.New(policy.SyncRunahead), "t", specs)
 		r, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -378,7 +381,7 @@ func TestFaultOnInflightPrefetchJoins(t *testing.T) {
 		{Name: gens[0].Name(), Gen: gens[0], Priority: 2, BaseVA: workload.BaseVA},
 		{Name: gens[1].Name(), Gen: gens[1], Priority: 1, BaseVA: workload.BaseVA},
 	}
-	m := New(testConfig(), policy.New(policy.ITS), "t", specs)
+	m := newMachine(t, testConfig(), policy.New(policy.ITS), "t", specs)
 	run, err := m.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +408,7 @@ func TestInstructionConservation(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			specs[i] = ProcessSpec{Name: gens[i].Name(), Gen: gens[i], Priority: i + 1, BaseVA: workload.BaseVA}
 		}
-		m := New(testConfig(), policy.New(kind), "t", specs)
+		m := newMachine(t, testConfig(), policy.New(kind), "t", specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -430,7 +433,7 @@ func TestIdleNeverExceedsAggregateRuntime(t *testing.T) {
 		for i := range specs {
 			specs[i].Gen.Reset()
 		}
-		m := New(testConfig(), policy.New(kind), "t", specs)
+		m := newMachine(t, testConfig(), policy.New(kind), "t", specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -454,7 +457,7 @@ func TestTLBModeChargesMisses(t *testing.T) {
 		for i := range specs {
 			specs[i].Gen.Reset()
 		}
-		m := New(cfg, policy.New(policy.Sync), "t", specs)
+		m := newMachine(t, cfg, policy.New(policy.Sync), "t", specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -482,7 +485,7 @@ func TestSpinBlockHybridBehaviour(t *testing.T) {
 		for i := range specs {
 			specs[i].Gen.Reset()
 		}
-		m := New(testConfig(), pol, "t", specs)
+		m := newMachine(t, testConfig(), pol, "t", specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -526,7 +529,7 @@ func TestTimeConservation(t *testing.T) {
 		for i, g := range gens {
 			specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: b.Priorities[i], BaseVA: workload.BaseVA}
 		}
-		m := New(testConfig(), policy.New(kind), b.Name, specs)
+		m := newMachine(t, testConfig(), policy.New(kind), b.Name, specs)
 		run, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -554,9 +557,9 @@ func TestPreExecCacheFractionPartitionsWays(t *testing.T) {
 		cfg.PreExecCacheFraction = frac
 		specs := []ProcessSpec{{Name: gens[0].Name(), Gen: gens[0], Priority: 1, BaseVA: workload.BaseVA}}
 		specs[0].Gen.Reset()
-		m := New(cfg, policy.New(policy.SyncRunahead), "t", specs)
+		m := newMachine(t, cfg, policy.New(policy.SyncRunahead), "t", specs)
 		got := m.LLC().Config()
-		pxCfg := m.core.PX.PXC.Config()
+		pxCfg := m.PreExecCaches()[0].Config()
 		if got.SizeBytes+pxCfg.SizeBytes != cfg.LLCSize {
 			t.Fatalf("frac %v: LLC %d + px %d != %d", frac, got.SizeBytes, pxCfg.SizeBytes, cfg.LLCSize)
 		}
@@ -600,7 +603,7 @@ func TestRandomTracesProperty(t *testing.T) {
 				Name: "rnd", Gen: g, Priority: i + 1, BaseVA: workload.BaseVA,
 			})
 		}
-		m := New(testConfig(), policy.New(kind), "prop", specs)
+		m := newMachine(t, testConfig(), policy.New(kind), "prop", specs)
 		run, err := m.Run()
 		if err != nil {
 			return false

@@ -43,7 +43,7 @@ func TestStreamEquivalence(t *testing.T) {
 				}
 				specs[i] = ProcessSpec{Name: g.Name(), Gen: g, Priority: i + 1}
 			}
-			m := New(testConfig(), policy.New(kind), "stream-eq", specs)
+			m := newMachine(t, testConfig(), policy.New(kind), "stream-eq", specs)
 			run, err := m.Run()
 			if err != nil {
 				t.Fatal(err)

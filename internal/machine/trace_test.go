@@ -24,7 +24,7 @@ func tracedRun(t *testing.T, batchIdx int, kind policy.Kind, sink obs.Sink, gaug
 	for j, g := range gens {
 		specs[j] = ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
 	}
-	m := New(testConfig(), policy.New(kind), batch.Name, specs)
+	m := newMachine(t, testConfig(), policy.New(kind), batch.Name, specs)
 	m.Instrument(obs.NewTracer(sink, obs.Filter{}), gauge)
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("%s/%s: %v", kind, batch.Name, err)
@@ -177,12 +177,12 @@ func TestAuditorPassesAllPoliciesAllBatches(t *testing.T) {
 				for j, g := range gens {
 					specs[j] = ProcessSpec{Name: g.Name(), Gen: g, Priority: batch.Priorities[j], BaseVA: workload.BaseVA}
 				}
-				m := New(testConfig(), policy.New(kind), batch.Name, specs)
+				m := newMachine(t, testConfig(), policy.New(kind), batch.Name, specs)
 				run, err := m.Run()
 				if err != nil {
 					t.Fatal(err)
 				}
-				aud := m.Auditor()
+				aud := m.Auditors()[0]
 				if aud.Events() == 0 {
 					t.Fatal("auditor observed no events")
 				}
@@ -254,7 +254,7 @@ func TestFaultEventsTraced(t *testing.T) {
 	cfg := testConfig()
 	cfg.Fault = fault.Config{Seed: 42, TailProb: 0.2, TailMult: 16, StallProb: 0.01, DMAFailProb: 0.05}
 	cfg.SpinBudget = 4 * sim.Microsecond
-	m := New(cfg, policy.NewITS(policy.ITSConfig{PrefetchThrottleFraction: 0.1}), batch.Name, specs)
+	m := newMachine(t, cfg, policy.NewITS(policy.ITSConfig{PrefetchThrottleFraction: 0.1}), batch.Name, specs)
 	ring := obs.NewRing(1 << 20)
 	m.Instrument(obs.NewTracer(ring, obs.Filter{}), 0)
 	if _, err := m.Run(); err != nil {

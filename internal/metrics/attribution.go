@@ -29,7 +29,7 @@ func (a CoreAttribution) Total() sim.Time {
 // tolerance. On multi-core summaries every category must match its per-core
 // counter exactly and the attributed total must equal the core's local
 // clock (CPUTime + SchedulerIdle + ContextSwitchTime == LocalClock). On
-// legacy single-core summaries (no per-core section) the CPU category is
+// single-core summaries (no per-core section) the CPU category is
 // checked against the per-process CPU times, idle against the run-level
 // counter, and the grand total against the makespan; the run-level switch
 // counter excludes the pollution tail the events carry, so it is covered

@@ -108,9 +108,8 @@ type Process struct {
 // un-stolen storage busy-wait).
 func (p *Process) IdleTime() sim.Time { return p.MemStall + p.StorageWait }
 
-// Core accumulates per-core counters of a multi-core run. On a single-core
-// machine the slice is absent (legacy path) or holds one entry whose fields
-// mirror the Run-level aggregates.
+// Core accumulates per-core counters of a multi-core run. One-core runs
+// leave Run.Cores empty: their Run-level aggregates already are the core's.
 //
 //itslint:frozen
 type Core struct {
@@ -159,8 +158,8 @@ type Run struct {
 
 	Procs []*Process
 
-	// Cores holds per-core counters on a multi-core machine; nil on the
-	// legacy single-core path. Run-level time fields (SchedulerIdle,
+	// Cores holds per-core counters on a multi-core machine; nil on a
+	// one-core machine. Run-level time fields (SchedulerIdle,
 	// ContextSwitchTime) aggregate over cores as CPU-seconds.
 	Cores []*Core
 
@@ -217,13 +216,6 @@ func (r *Run) AddProcess(pid int, name string, priority int) *Process {
 	p := &Process{PID: pid, Name: name, Priority: priority}
 	r.Procs = append(r.Procs, p)
 	return p
-}
-
-// AddCore registers a per-core record and returns it.
-func (r *Run) AddCore(id int) *Core {
-	c := &Core{ID: id}
-	r.Cores = append(r.Cores, c)
-	return c
 }
 
 // TotalIdle is the paper's Fig 4a quantity ("Total CPU Waiting Time"): the

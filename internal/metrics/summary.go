@@ -85,8 +85,8 @@ type Summary struct {
 	PrefetchThrottled uint64          `json:"prefetch_throttled,omitempty"`
 	Injection         *InjectionStats `json:"fault_injection,omitempty"`
 
-	// Cores carries per-core counters on multi-core runs (absent on the
-	// legacy single-core machine).
+	// Cores carries per-core counters on multi-core runs (absent on
+	// one-core runs).
 	Cores []*Core `json:"cores,omitempty"`
 
 	Procs []*Process `json:"procs"`

@@ -22,8 +22,8 @@ import (
 //     the end.
 //
 // A violation records the offending event and is reported through Err();
-// internal/machine runs an Auditor on every run and fails the run loudly
-// when one fires.
+// internal/smp runs an Auditor per core on every run and fails the run
+// loudly when one fires.
 type Auditor struct {
 	last       sim.Time
 	started    bool

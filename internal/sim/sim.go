@@ -1,7 +1,7 @@
 // Package sim provides the deterministic discrete-event core of the
 // simulator: a virtual nanosecond clock and a calendar-queue event core.
 //
-// The machine model (internal/machine) advances the clock directly while the
+// The machine model (internal/smp) advances the clock directly while the
 // simulated CPU executes a trace, and schedules future work — DMA
 // completions, asynchronous I/O completions, prefetch arrivals — as events.
 // Events scheduled for the same instant fire in scheduling order (FIFO),

@@ -44,41 +44,12 @@ func TestFaultDeterminism(t *testing.T) {
 		if r.Injection.TailSpikes == 0 && r.Injection.ChannelStalls == 0 && r.Injection.DMAFailures == 0 {
 			t.Fatalf("no faults delivered: %+v", r.Injection)
 		}
-		return summaryJSON(t, r, false)
+		return summaryJSON(t, r)
 	}
 	for _, cores := range []int{1, 4} {
 		if a, b := run(cores), run(cores); a != b {
 			t.Errorf("%d-core faulty run is not deterministic\n first: %s\nsecond: %s", cores, a, b)
 		}
-	}
-}
-
-// The fault layer preserves the engine-unification guarantee: the legacy
-// single-core machine and a 1-core SMP run agree byte-for-byte under the
-// same fault schedule, for every policy kind.
-func TestFaultEquivalence(t *testing.T) {
-	for _, kind := range policy.Kinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			cfg := faultyConfig(1)
-			legacy := machine.New(cfg, factory(kind)(), "2_Data_Intensive", testSpecs(t, 0.02))
-			wantRun, err := legacy.Run()
-			if err != nil {
-				t.Fatalf("machine run: %v", err)
-			}
-			m, err := smp.New(cfg, factory(kind), "2_Data_Intensive", testSpecs(t, 0.02))
-			if err != nil {
-				t.Fatalf("smp.New: %v", err)
-			}
-			gotRun, err := m.Run()
-			if err != nil {
-				t.Fatalf("smp run: %v", err)
-			}
-			want := summaryJSON(t, wantRun, true)
-			got := summaryJSON(t, gotRun, true)
-			if got != want {
-				t.Errorf("1-core SMP diverged from the machine under faults\n got: %s\nwant: %s", got, want)
-			}
-		})
 	}
 }
 
@@ -202,7 +173,7 @@ func TestZeroFaultConfigIsInert(t *testing.T) {
 		if r.Injection != nil {
 			t.Fatalf("fault-free run has injection stats: %+v", r.Injection)
 		}
-		return summaryJSON(t, r, false)
+		return summaryJSON(t, r)
 	}
 	zeroed := func() string {
 		cfg := testConfig(2)
@@ -215,7 +186,7 @@ func TestZeroFaultConfigIsInert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return summaryJSON(t, r, false)
+		return summaryJSON(t, r)
 	}
 	if a, b := baseline(), zeroed(); a != b {
 		t.Errorf("zero-probability fault config changed the summary\n base: %s\nfault: %s", a, b)

@@ -1,15 +1,14 @@
-// Package smp is the multi-core machine model: N simulated cores, each
-// with its own L1 cache, TLB, SCHED_RR runqueue and policy instance
-// (self-sacrificing/self-improving kernel threads run per core), sharing one
-// LLC (minus per-core pre-execute carve-outs), one kernel/swap path and one
-// ULL device whose channel and PCIe-link contention now comes from every
-// core at once.
+// Package smp is the machine model at every core count: N simulated
+// cores, each with its own L1 cache, TLB, SCHED_RR runqueue and policy
+// instance (self-sacrificing/self-improving kernel threads run per core),
+// sharing one LLC (minus per-core pre-execute carve-outs), one kernel/swap
+// path and one ULL device whose channel and PCIe-link contention comes from
+// every core at once.
 //
 // The per-record executor — dispatch, fault windows, prefetch,
-// pre-execution, swap-in management — lives in internal/exec and is shared
-// verbatim with the single-core machine; this package contributes only what
-// is inherently multi-core: the bounded-skew coordinator, work stealing,
-// and the pendingIO re-homing a steal requires.
+// pre-execution, swap-in management — lives in internal/exec; this package
+// contributes the run loop around it: the bounded-skew coordinator, work
+// stealing, and the pendingIO re-homing a steal requires.
 //
 // Each core advances on its own sim.Engine clock; a deterministic
 // coordinator repeatedly picks the core with the earliest next-event time
@@ -24,14 +23,14 @@
 // Work-stealing-aware dispatch: an idle core pulls a Ready process from a
 // loaded core's runqueue (victim scan order (id+1)%N, so the choice is
 // deterministic), paying one context-switch cost for the migration. This is
-// the new ITS scenario the single-core machine cannot express: a
-// high-priority process keeps busy-waiting on its core while its
-// low-priority victim migrates to the idle core instead of blocking.
+// the new ITS scenario a single core cannot express: a high-priority
+// process keeps busy-waiting on its core while its low-priority victim
+// migrates to the idle core instead of blocking.
 //
-// With Cores=1 the coordinator degenerates exactly to the single-core
-// machine loop and produces identical metrics on the same seed — not by
-// careful porting but structurally, because both instantiate the same
-// exec.Core.
+// With Cores=1 the coordinator degenerates to a plain run loop: the one
+// core's horizon is unbounded and it never steals. This is the paper's
+// single-core machine; there is no other run loop. The golden summaries
+// and trace digests in testdata pin its bytes.
 package smp
 
 import (
@@ -40,9 +39,9 @@ import (
 	"math"
 
 	"itsim/internal/cache"
+	"itsim/internal/cpu"
 	"itsim/internal/exec"
 	"itsim/internal/kernel"
-	"itsim/internal/machine"
 	"itsim/internal/metrics"
 	"itsim/internal/obs"
 	"itsim/internal/policy"
@@ -62,7 +61,7 @@ type Machine struct {
 // return a fresh policy instance per call — policies are stateful and each
 // core runs its own. Configuration problems come back as errors, not
 // panics: this is the path user input (the -cores flag) reaches.
-func New(cfg machine.Config, newPolicy func() policy.Policy, batchName string, specs []machine.ProcessSpec) (*Machine, error) {
+func New(cfg exec.Config, newPolicy func() policy.Policy, batchName string, specs []exec.ProcessSpec) (*Machine, error) {
 	return (*Machine)(nil).Next(cfg, newPolicy, batchName, specs)
 }
 
@@ -72,7 +71,7 @@ func New(cfg machine.Config, newPolicy func() policy.Policy, batchName string, s
 // reuses m's cache arrays (reset in place) where the geometry matches, so
 // a fleet machine running one batch per epoch does not reallocate them
 // every epoch. m must not be used afterwards. A nil m behaves as New.
-func (m *Machine) Next(cfg machine.Config, newPolicy func() policy.Policy, batchName string, specs []machine.ProcessSpec) (*Machine, error) {
+func (m *Machine) Next(cfg exec.Config, newPolicy func() policy.Policy, batchName string, specs []exec.ProcessSpec) (*Machine, error) {
 	var prev *exec.Shared
 	if m != nil {
 		prev = m.s
@@ -95,7 +94,7 @@ func (m *Machine) Next(cfg machine.Config, newPolicy func() policy.Policy, batch
 			return nil, errors.New("smp: policy factory returned nil")
 		}
 	}
-	s, err := exec.NewShared(prev, cfg, pols, batchName, specs, true)
+	s, err := exec.NewShared(prev, cfg, pols, batchName, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -114,6 +113,18 @@ func (m *Machine) Auditors() []*obs.Auditor {
 	out := make([]*obs.Auditor, len(m.s.Cores))
 	for i, c := range m.s.Cores {
 		out[i] = c.Aud
+	}
+	return out
+}
+
+// PreExecCaches exposes each core's pre-execute carve-out (tests, tools);
+// the entries are nil when the policy has no pre-execute cache.
+func (m *Machine) PreExecCaches() []*cpu.PreExecCache {
+	out := make([]*cpu.PreExecCache, len(m.s.Cores))
+	for i, c := range m.s.Cores {
+		if c.PX != nil {
+			out[i] = c.PX.PXC
+		}
 	}
 	return out
 }

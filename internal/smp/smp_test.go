@@ -53,101 +53,14 @@ func factory(kind policy.Kind) func() policy.Policy {
 	}
 }
 
-// summaryJSON serializes a run summary, optionally without the per-core
-// section (which the single-core machine does not produce).
-func summaryJSON(t *testing.T, run *metrics.Run, stripCores bool) string {
+// summaryJSON serializes a run summary.
+func summaryJSON(t *testing.T, run *metrics.Run) string {
 	t.Helper()
-	s := run.Summary()
-	if stripCores {
-		s.Cores = nil
-	}
-	out, err := json.Marshal(s)
+	out, err := json.Marshal(run.Summary())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(out)
-}
-
-// TestSingleCoreMatchesMachine is the degeneracy guarantee: with Cores=1 the
-// SMP coordinator must reproduce the legacy single-core machine's metrics
-// exactly, for every policy kind.
-func TestSingleCoreMatchesMachine(t *testing.T) {
-	const scale = 0.02
-	for _, kind := range policy.Kinds() {
-		t.Run(kind.String(), func(t *testing.T) {
-			legacy := machine.New(testConfig(1), factory(kind)(), "2_Data_Intensive", testSpecs(t, scale))
-			wantRun, err := legacy.Run()
-			if err != nil {
-				t.Fatalf("machine run: %v", err)
-			}
-			m, err := smp.New(testConfig(1), factory(kind), "2_Data_Intensive", testSpecs(t, scale))
-			if err != nil {
-				t.Fatalf("smp.New: %v", err)
-			}
-			gotRun, err := m.Run()
-			if err != nil {
-				t.Fatalf("smp run: %v", err)
-			}
-			want := summaryJSON(t, wantRun, true)
-			got := summaryJSON(t, gotRun, true)
-			if got != want {
-				t.Errorf("N=1 SMP diverged from single-core machine\n got: %s\nwant: %s", got, want)
-			}
-		})
-	}
-}
-
-// TestEquivalenceProperty is the structural guarantee the unified engine
-// makes: for every policy kind and a sweep of seeded config variants
-// (mechanistic TLB, huge-I/O swap clusters, polling recovery, strict
-// priorities, different trace scales), the legacy single-core machine and a
-// 1-core run through the SMP coordinator produce byte-identical summaries —
-// not because the port is careful, but because both instantiate the same
-// exec.Core.
-func TestEquivalenceProperty(t *testing.T) {
-	variants := []struct {
-		name  string
-		scale float64
-		mut   func(*machine.Config)
-	}{
-		{"base", 0.03, func(cfg *machine.Config) {}},
-		{"tlb", 0.02, func(cfg *machine.Config) { cfg.TLBEntries = 64 }},
-		{"swap_cluster", 0.02, func(cfg *machine.Config) { cfg.SwapClusterPages = 4 }},
-		{"poll_recovery", 0.02, func(cfg *machine.Config) { cfg.RecoveryPoll = 2 * sim.Microsecond }},
-		{"strict_priority", 0.02, func(cfg *machine.Config) { cfg.StrictPriority = true }},
-		{"combined", 0.01, func(cfg *machine.Config) {
-			cfg.TLBEntries = 64
-			cfg.SwapClusterPages = 4
-			cfg.RecoveryPoll = 2 * sim.Microsecond
-		}},
-	}
-	for _, v := range variants {
-		for _, kind := range policy.Kinds() {
-			t.Run(v.name+"/"+kind.String(), func(t *testing.T) {
-				cfg := testConfig(1)
-				v.mut(&cfg)
-				legacy := machine.New(cfg, factory(kind)(), "2_Data_Intensive", testSpecs(t, v.scale))
-				wantRun, err := legacy.Run()
-				if err != nil {
-					t.Fatalf("machine run: %v", err)
-				}
-				m, err := smp.New(cfg, factory(kind), "2_Data_Intensive", testSpecs(t, v.scale))
-				if err != nil {
-					t.Fatalf("smp.New: %v", err)
-				}
-				gotRun, err := m.Run()
-				if err != nil {
-					t.Fatalf("smp run: %v", err)
-				}
-				want := summaryJSON(t, wantRun, true)
-				got := summaryJSON(t, gotRun, true)
-				if got != want {
-					t.Errorf("1-core SMP diverged from the machine under %s\n got: %s\nwant: %s",
-						v.name, got, want)
-				}
-			})
-		}
-	}
 }
 
 // TestDeterminism runs the 4-core machine twice on identical inputs and
@@ -163,7 +76,7 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return summaryJSON(t, r, false)
+		return summaryJSON(t, r)
 	}
 	a, b := run(), run()
 	if a != b {
@@ -234,25 +147,27 @@ func TestWorkStealingOccurs(t *testing.T) {
 
 // TestNewErrors covers the validation surface the -cores flag reaches.
 func TestNewErrors(t *testing.T) {
-	specs := func() []machine.ProcessSpec { return testSpecs(t, 0.01) }
+	specs := testSpecs(t, 0.01)
 	cases := []struct {
-		name string
-		cfg  machine.Config
-		pol  func() policy.Policy
-		want string
+		name  string
+		cfg   machine.Config
+		pol   func() policy.Policy
+		specs []machine.ProcessSpec
+		want  string
 	}{
-		{"negative cores", testConfig(-1), factory(policy.Sync), "core count"},
+		{"negative cores", testConfig(-1), factory(policy.Sync), specs, "core count"},
 		{"non-power-of-two LLC ways", func() machine.Config {
 			cfg := testConfig(2)
 			cfg.LLCWays = 3
 			return cfg
-		}(), factory(policy.Sync), "power of two"},
-		{"carve-out too small", testConfig(16), factory(policy.Sync), "pre-execute"},
-		{"nil factory", testConfig(2), nil, "factory"},
+		}(), factory(policy.Sync), specs, "power of two"},
+		{"carve-out too small", testConfig(16), factory(policy.Sync), specs, "pre-execute"},
+		{"nil factory", testConfig(2), nil, specs, "factory"},
+		{"no processes", testConfig(1), factory(policy.Sync), nil, "no processes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := smp.New(tc.cfg, tc.pol, "test", specs())
+			_, err := smp.New(tc.cfg, tc.pol, "test", tc.specs)
 			if err == nil {
 				t.Fatalf("want error containing %q, got nil", tc.want)
 			}
